@@ -14,9 +14,10 @@ Three phases per erroneous cell:
    below ``MinProb``, and label a cell clean when a single candidate
    remains or the top one exceeds ``MaxProb``.
 
-Everything is DataFrame algebra: group-bys over the DistanceMatrix, joins
-against the value-frequency table, and window normalisation — no per-row
-Python.
+Everything is DataFrame algebra: one group-by over the DistanceMatrix
+(with each erroneous cell's own value folded in as a weightless row), a
+broadcast join against the value-frequency table, and windows over one
+partitioning by cell — no per-row Python.
 """
 from dataclasses import dataclass
 from typing import Sequence
@@ -86,38 +87,48 @@ def generate_candidates(
     total = total if total is not None else df.count()
 
     # ---- Phase 1: weighted nearby co-occurrence --------------------------
-    err_dm = dm.join(error_ids.select(F.col(id_col).alias(R1)), on=R1)
-    neigh = (
-        err_dm.where(F.col(V2).isNotNull())
-        .groupBy(F.col(R1).alias(id_col), F.col(V2).alias(VALUE))
-        .agg(F.sum(W).alias(WEIGHT))
-        .withColumn(SPATIAL_WEIGHT, F.col(WEIGHT))
+    # Each neighbor row votes for its value with weight W; the cell's own
+    # value enters the same group-by as a weightless row, so it ends up with
+    # its neighbors' summed weight if any neighbor shares it, else with the
+    # default. Taking the own value from the input row, not from v1, keeps
+    # it for cells that never appear as r1 (a directed kNN matrix).
+    votes = dm.select(
+        F.col(R1).alias(id_col), F.col(V2).alias(VALUE), F.col(W).alias("_w"),
+        F.lit(False).alias("_own"),
+    ).unionByName(
+        df.select(
+            F.col(id_col), F.col(attribute).alias(VALUE),
+            F.lit(None).cast("double").alias("_w"), F.lit(True).alias("_own"),
+        )
     )
-    own = (
-        df.join(error_ids, on=id_col, how="leftsemi")
-        .where(F.col(attribute).isNotNull())
-        .select(F.col(id_col), F.col(attribute).alias(VALUE))
-        .join(neigh.select(id_col, VALUE), on=[id_col, VALUE], how="leftanti")
-        .withColumn(WEIGHT, F.lit(DEFAULT_OWN_WEIGHT))
-        .withColumn(SPATIAL_WEIGHT, F.lit(0.0))
+    neighbor_sum = F.sum("_w")
+    cands = (
+        votes.where(F.col(VALUE).isNotNull())
+        # An inner join on the distinct error ids: unlike a semi-join, the
+        # optimizer does not push it into each branch of the union.
+        .join(error_ids.select(id_col), on=id_col)
+        .groupBy(id_col, VALUE)
+        .agg(
+            F.coalesce(neighbor_sum, F.lit(DEFAULT_OWN_WEIGHT)).alias(WEIGHT),
+            F.coalesce(neighbor_sum, F.lit(0.0)).alias(SPATIAL_WEIGHT),
+            F.max("_own").alias("_own"),
+        )
     )
-    cands = neigh.unionByName(own)
 
     # ---- Phase 2: spatially-aware Naive Bayes ---------------------------
-    orig = df.select(F.col(id_col), F.col(attribute).alias("_orig"))
-    cands = (
-        cands.join(orig, on=id_col)
-        .join(freq.withColumnRenamed("cnt", "_cnt_v"), on=VALUE, how="left")
+    # ``freq`` has one row per distinct value; the session disables
+    # automatic broadcasts, so ask for it.
+    cands = cands.join(
+        F.broadcast(freq.withColumnRenamed("cnt", "_cnt_v")), on=VALUE, how="left"
+    ).withColumn(
         # A candidate value always occurs in D (it is a neighbor's or the
         # cell's own value) but guard the join anyway.
-        .withColumn("_cnt_v", F.coalesce(F.col("_cnt_v"), F.lit(1)))
+        "_cnt_v", F.coalesce(F.col("_cnt_v"), F.lit(1))
     )
     # Record-identifier factor: 1 for the original value, 0.1 otherwise
     # (both divided by Count(v, D)) — the minimality bias of §4.2.
     prob = (F.col(WEIGHT) / F.lit(float(total))) * (
-        F.when(F.col(VALUE).eqNullSafe(F.col("_orig")), F.lit(1.0)).otherwise(
-            F.lit(MINIMALITY_PSEUDO_COUNT)
-        )
+        F.when(F.col("_own"), F.lit(1.0)).otherwise(F.lit(MINIMALITY_PSEUDO_COUNT))
         / F.col("_cnt_v")
     )
     # Generic non-spatial attributes A': Count((v, R.A'), D) / Count(v, D).
@@ -141,23 +152,23 @@ def generate_candidates(
     # ---- Phase 3: normalisation, MinProb cutoff, MaxProb labeling -------
     cell = Window.partitionBy(id_col)
     cands = cands.withColumn(PROB_NORM, F.col(PROB) / F.sum(PROB).over(cell))
-    kept = cands.where(F.col(PROB_NORM) >= F.lit(float(min_prob)))
-    order = Window.partitionBy(id_col).orderBy(
-        F.col(PROB_NORM).desc(), F.col(VALUE).asc()
-    )
+    # One ordered window gives the rank and, over the whole cell, the count
+    # and top probability that decide whether the cell is labeled.
+    order = cell.orderBy(F.col(PROB_NORM).desc(), F.col(VALUE).asc())
+    whole = order.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
     kept = (
-        kept.withColumn("_rank", F.row_number().over(order))
-        .withColumn("_n_cands", F.count(F.lit(1)).over(cell))
-        .withColumn("_top_prob", F.max(PROB_NORM).over(cell))
-    )
-    labels = (
-        kept.where(
-            (F.col("_rank") == 1)
-            & ((F.col("_n_cands") == 1) | (F.col("_top_prob") > F.lit(float(max_prob))))
+        cands.where(F.col(PROB_NORM) >= F.lit(float(min_prob)))
+        .withColumn("_rank", F.row_number().over(order))
+        .withColumn(
+            "_labeled",
+            (F.count(F.lit(1)).over(whole) == 1)
+            | (F.max(PROB_NORM).over(whole) > F.lit(float(max_prob))),
         )
-        .select(F.col(id_col), F.col(VALUE).alias("label"))
     )
-    remaining = kept.join(labels.select(id_col), on=id_col, how="leftanti").select(
+    labels = kept.where(F.col("_labeled") & (F.col("_rank") == 1)).select(
+        F.col(id_col), F.col(VALUE).alias("label")
+    )
+    remaining = kept.where(~F.col("_labeled")).select(
         id_col, VALUE, WEIGHT, SPATIAL_WEIGHT, PROB, PROB_NORM
     )
     remaining_ids = error_ids.join(labels.select(id_col), on=id_col, how="leftanti")

@@ -6,6 +6,11 @@ range ``d`` of ``R1`` (or among its k nearest), ``v1/v2`` are the two
 records' values of ``A``, ``D`` the distance under ``F`` and ``W`` the
 weight under ``W``. All later Sparcle stages are cheap scans/joins of this
 table, which is why the paper materialises it once per constraint.
+
+:func:`build_distance_matrix` carries ``A`` through both sides of the
+spatial join, so the join emits ``v1/v2`` itself. :func:`build_pairs` and
+:func:`attach_values` are the same table in two steps (pairs, then a join
+per side to fetch the values), kept for layer-by-layer measurement.
 """
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
@@ -16,13 +21,58 @@ from repro.core.constraints import (
     SpatialKNNConstraint,
     SpatialRangeConstraint,
 )
-from repro.spatial.join import DIST, R1, R2, Extent, self_exact_join, self_knn_join, self_range_join
+from repro.spatial.join import (
+    DIST,
+    R1,
+    R2,
+    V1,
+    V2,
+    Extent,
+    self_exact_join,
+    self_knn_join,
+    self_range_join,
+)
 
-V1 = "v1"
-V2 = "v2"
 W = "w"
 
 DM_COLUMNS = (R1, R2, V1, V2, DIST, W)
+
+
+def _weighted_pairs(
+    df: DataFrame,
+    constraint: Constraint,
+    *,
+    value_col: str | None,
+    id_col: str,
+    lat_col: str,
+    lon_col: str,
+    extent: Extent | None,
+) -> DataFrame:
+    """The constraint's pairs with ``W``, carrying ``value_col`` if given."""
+    cols = dict(id_col=id_col, lat_col=lat_col, lon_col=lon_col, value_col=value_col)
+    if isinstance(constraint, ExactLocationConstraint) or (
+        # d=0 degenerates to the exact-equality constraint (§6.1).
+        isinstance(constraint, SpatialRangeConstraint) and constraint.d_m == 0
+    ):
+        return self_exact_join(df, **cols).withColumn(W, F.lit(1.0))
+    if isinstance(constraint, SpatialRangeConstraint):
+        pairs = self_range_join(
+            df, d_m=constraint.d_m, distance=constraint.distance, extent=extent, **cols
+        )
+        return pairs.withColumn(
+            W, constraint.weight.expr(F.col(DIST), F.lit(float(constraint.d_m)))
+        )
+    if isinstance(constraint, SpatialKNNConstraint):
+        pairs = self_knn_join(
+            df, k=constraint.k, distance=constraint.distance, extent=extent, **cols
+        )
+        # The paper sets d to the k-th neighbor distance of each r1 (§6).
+        kth = Window.partitionBy(R1)
+        pairs = pairs.withColumn("_d_max", F.max(DIST).over(kth))
+        return pairs.withColumn(
+            W, constraint.weight.expr(F.col(DIST), F.col("_d_max"))
+        ).drop("_d_max")
+    raise TypeError(f"unsupported constraint {constraint!r}")
 
 
 def build_pairs(
@@ -35,43 +85,10 @@ def build_pairs(
     extent: Extent | None = None,
 ) -> DataFrame:
     """Weighted neighbor pairs ``(r1, r2, dist_m, w)`` for ``constraint``."""
-    if isinstance(constraint, ExactLocationConstraint):
-        pairs = self_exact_join(df, id_col=id_col, lat_col=lat_col, lon_col=lon_col)
-        return pairs.withColumn(W, F.lit(1.0))
-    if isinstance(constraint, SpatialRangeConstraint):
-        if constraint.d_m == 0:
-            # d=0 degenerates to the exact-equality constraint (§6.1).
-            pairs = self_exact_join(df, id_col=id_col, lat_col=lat_col, lon_col=lon_col)
-            return pairs.withColumn(W, F.lit(1.0))
-        pairs = self_range_join(
-            df,
-            d_m=constraint.d_m,
-            id_col=id_col,
-            lat_col=lat_col,
-            lon_col=lon_col,
-            distance=constraint.distance,
-            extent=extent,
-        )
-        return pairs.withColumn(
-            W, constraint.weight.expr(F.col(DIST), F.lit(float(constraint.d_m)))
-        )
-    if isinstance(constraint, SpatialKNNConstraint):
-        pairs = self_knn_join(
-            df,
-            k=constraint.k,
-            id_col=id_col,
-            lat_col=lat_col,
-            lon_col=lon_col,
-            distance=constraint.distance,
-            extent=extent,
-        )
-        # The paper sets d to the k-th neighbor distance of each r1 (§6).
-        kth = Window.partitionBy(R1)
-        pairs = pairs.withColumn("_d_max", F.max(DIST).over(kth))
-        return pairs.withColumn(
-            W, constraint.weight.expr(F.col(DIST), F.col("_d_max"))
-        ).drop("_d_max")
-    raise TypeError(f"unsupported constraint {constraint!r}")
+    return _weighted_pairs(
+        df, constraint, value_col=None, id_col=id_col, lat_col=lat_col,
+        lon_col=lon_col, extent=extent,
+    )
 
 
 def attach_values(
@@ -98,7 +115,7 @@ def build_distance_matrix(
     extent: Extent | None = None,
 ) -> DataFrame:
     """The full ``(R1, R2, v1, v2, D, W)`` DistanceMatrix for a constraint."""
-    pairs = build_pairs(
-        df, constraint, id_col=id_col, lat_col=lat_col, lon_col=lon_col, extent=extent
-    )
-    return attach_values(pairs, df, constraint.attribute, id_col=id_col)
+    return _weighted_pairs(
+        df, constraint, value_col=constraint.attribute, id_col=id_col,
+        lat_col=lat_col, lon_col=lon_col, extent=extent,
+    ).select(*DM_COLUMNS)

@@ -37,10 +37,8 @@ def detect_errors(
         # (both cells are still caught by the unconditional null check).
         ~F.col(V1).eqNullSafe(F.col(V2))
     )
-    from_pairs = (
-        violations.select(F.col(R1).alias(id_col))
-        .unionByName(violations.select(F.col(R2).alias(id_col)))
-        .distinct()
+    from_pairs = violations.select(F.col(R1).alias(id_col)).unionByName(
+        violations.select(F.col(R2).alias(id_col))
     )
     nulls = df.where(F.col(attribute).isNull()).select(id_col)
     error_ids = from_pairs.unionByName(nulls).distinct()

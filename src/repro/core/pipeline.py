@@ -6,6 +6,11 @@ formulated input to the requested host corrector:
     DistanceMatrix → error detector → candidate generator → formulator
     → host error corrector → repaired dataset
 
+A run materialises the DistanceMatrix, then one checkpointed output table
+(every input row with its repaired value and flags); ``repaired_df``,
+``repairs`` and the diagnostics are all read from that table, so the
+returned frames stay cheap to read after the call (DESIGN.md §7).
+
 ``host_baseline_clean`` runs the *same* pipeline on the classical
 exact-location denial constraint — i.e. the host data cleaning system
 without spatial awareness (the paper's HoloClean competitor and the d=0
@@ -15,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Observation
 from pyspark.sql import functions as F
 
 from repro.core import candidate_gen as cg
@@ -24,10 +29,15 @@ from repro.core.constraints import Constraint, ExactLocationConstraint
 from repro.core.distance_matrix import build_distance_matrix
 from repro.core.error_detector import detect_errors
 from repro.hostsys.aimnet import REPAIR, repair_from_violations
-from repro.hostsys.holoclean import repair_from_factors, repair_from_probabilities
-from repro.spatial.join import Extent
+from repro.hostsys.holoclean import repair_from_factors
+from repro.spatial.join import Extent, compute_extent
 
 CORRECTORS = ("holoclean", "aimnet", "baran")
+
+#: Columns the checkpointed output table adds to the input's (dropped from
+#: ``repaired_df``): the observed value and three per-row flags.
+_OLD, _ERR, _LABELED, _CHANGED = "_old", "_err", "_labeled", "_changed"
+_FLAGS = (_ERR, _LABELED, _CHANGED)
 
 
 @dataclass
@@ -39,27 +49,43 @@ class CleanResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _apply_fixes(
-    df: DataFrame, fixes: DataFrame, attribute: str, id_col: str
-) -> tuple[DataFrame, DataFrame]:
-    """Merge final values into ``df``; return (repaired df, changed cells)."""
-    fixes = fixes.select(F.col(id_col), F.col(REPAIR).alias("_fix"))
-    joined = df.join(fixes, on=id_col, how="left")
-    repaired = joined.withColumn(
-        attribute,
-        F.when(F.col("_fix").isNotNull(), F.col("_fix")).otherwise(F.col(attribute)),
-    ).drop("_fix")
-    changed = (
-        joined.where(
-            F.col("_fix").isNotNull() & ~F.col("_fix").eqNullSafe(F.col(attribute))
-        )
-        .select(
-            F.col(id_col),
-            F.col(attribute).alias("old_value"),
-            F.col("_fix").alias("new_value"),
+def _output_table(
+    df: DataFrame,
+    error_ids: DataFrame,
+    labels: DataFrame,
+    corrected: DataFrame,
+    attribute: str,
+    id_col: str,
+) -> DataFrame:
+    """Every input row with its final value, its observed value and flags.
+
+    Labels and corrector picks are disjoint fixes; a row is ``_changed``
+    when its fix ``IS DISTINCT FROM`` the observed value (DESIGN.md §6).
+    """
+    fixes = labels.select(
+        F.col(id_col), F.col("label").alias("_fix"), F.lit(True).alias(_LABELED)
+    ).unionByName(
+        corrected.select(
+            F.col(id_col), F.col(REPAIR).alias("_fix"), F.lit(False).alias(_LABELED)
         )
     )
-    return repaired, changed
+    errs = error_ids.select(id_col, F.lit(True).alias(_ERR))
+    return (
+        df.join(fixes, on=id_col, how="left")
+        .join(errs, on=id_col, how="left")
+        .select(
+            *(
+                F.coalesce(F.col("_fix"), F.col(c)).alias(c) if c == attribute else F.col(c)
+                for c in df.columns
+            ),
+            F.col(attribute).alias(_OLD),
+            F.coalesce(F.col(_ERR), F.lit(False)).alias(_ERR),
+            F.coalesce(F.col(_LABELED), F.lit(False)).alias(_LABELED),
+            (
+                F.col("_fix").isNotNull() & ~F.col("_fix").eqNullSafe(F.col(attribute))
+            ).alias(_CHANGED),
+        )
+    )
 
 
 def sparcle_clean(
@@ -80,6 +106,7 @@ def sparcle_clean(
         raise ValueError(f"corrector must be one of {CORRECTORS}, got {corrector!r}")
     t0 = time.perf_counter()
     attribute = constraint.attribute
+    extent = extent or compute_extent(df, lat_col, lon_col)
 
     dm = build_distance_matrix(
         df, constraint, id_col=id_col, lat_col=lat_col, lon_col=lon_col, extent=extent
@@ -96,6 +123,7 @@ def sparcle_clean(
         other_attrs=other_attrs,
         min_prob=min_prob,
         max_prob=max_prob,
+        total=extent.n,
     )
     cands = cand.candidates.cache()
 
@@ -103,29 +131,39 @@ def sparcle_clean(
         feats = formulator.violation_features(dm, cands, id_col=id_col)
         corrected = repair_from_violations(feats, cands, id_col=id_col)
     elif corrector == "baran":
+        # Baran's probabilities and HoloClean's factor sums share the arg-max.
         feats = formulator.probability_features(cands, id_col=id_col)
-        corrected = repair_from_probabilities(feats, cands, id_col=id_col)
+        corrected = repair_from_factors(feats, cands, id_col=id_col)
     else:
         feats = formulator.factor_features(dm, cands, id_col=id_col)
         corrected = repair_from_factors(feats, cands, id_col=id_col)
 
-    fixes = (
-        cand.labels.select(F.col(id_col), F.col("label").alias(REPAIR))
-        .unionByName(corrected.select(F.col(id_col), F.col(REPAIR)))
+    # The one materialisation after the DistanceMatrix: every output is a
+    # scan of this table, and the diagnostics are observed while it is
+    # built, so no extra job runs. Only then can dm and cands go.
+    counts = Observation("sparcle_clean")
+    out = (
+        _output_table(df, detected.error_ids, cand.labels, corrected, attribute, id_col)
+        .observe(counts, *(F.count(F.when(F.col(c), 1)).alias(c) for c in _FLAGS))
+        .localCheckpoint()
     )
-    repaired_df, changed = _apply_fixes(df, fixes, attribute, id_col)
-    changed = changed.cache()
-    diagnostics = {
-        "n_records": df.count(),
-        "n_pairs": n_pairs,
-        "n_detected_errors": detected.error_ids.count(),
-        "n_labeled": cand.labels.count(),
-        "n_repaired": changed.count(),
-        "elapsed_s": time.perf_counter() - t0,
-    }
+    flagged = counts.get
     dm.unpersist(blocking=False)
     cands.unpersist(blocking=False)
-    return CleanResult(repaired_df=repaired_df, repairs=changed, diagnostics=diagnostics)
+
+    repaired_df = out.select(*df.columns)
+    repairs = out.where(F.col(_CHANGED)).select(
+        F.col(id_col), F.col(_OLD).alias("old_value"), F.col(attribute).alias("new_value")
+    )
+    diagnostics = {
+        "n_records": extent.n,
+        "n_pairs": n_pairs,
+        "n_detected_errors": flagged[_ERR],
+        "n_labeled": flagged[_LABELED],
+        "n_repaired": flagged[_CHANGED],
+        "elapsed_s": time.perf_counter() - t0,
+    }
+    return CleanResult(repaired_df=repaired_df, repairs=repairs, diagnostics=diagnostics)
 
 
 def host_baseline_clean(

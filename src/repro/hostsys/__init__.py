@@ -7,12 +7,11 @@ package provides both, plus the in-memory Baran competitor.
 """
 from repro.hostsys.aimnet import repair_from_violations
 from repro.hostsys.baran import BaranResult, baran_clean
-from repro.hostsys.holoclean import repair_from_factors, repair_from_probabilities
+from repro.hostsys.holoclean import repair_from_factors
 
 __all__ = [
     "BaranResult",
     "baran_clean",
     "repair_from_factors",
-    "repair_from_probabilities",
     "repair_from_violations",
 ]

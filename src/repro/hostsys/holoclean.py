@@ -6,8 +6,8 @@ the per-candidate factor sums. With cells treated independently (the other
 factors are muted in the paper's comparison), MAP inference is the
 arg-max of those sums — ties break toward the higher Algorithm-2
 probability, then the smaller value (substitution documented in
-DESIGN.md). The Baran-format probability vectors use the same arg-max,
-but on probabilities.
+DESIGN.md). The Baran-format probability vectors use the same arg-max
+(:func:`repair_from_factors`), but on probabilities.
 """
 from pyspark.sql import DataFrame
 
@@ -18,11 +18,4 @@ def repair_from_factors(
     features: DataFrame, cands: DataFrame, *, id_col: str = "rid"
 ) -> DataFrame:
     """Pick, per cell, the candidate maximising the factor-function sum."""
-    return _argbest(features, cands, id_col, ascending=False)
-
-
-def repair_from_probabilities(
-    features: DataFrame, cands: DataFrame, *, id_col: str = "rid"
-) -> DataFrame:
-    """Pick, per cell, the candidate maximising the Baran probability."""
     return _argbest(features, cands, id_col, ascending=False)

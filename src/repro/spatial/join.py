@@ -6,6 +6,10 @@ self-join used by the non-spatial baseline. All return a pair DataFrame
 ``(r1, r2, dist_m)`` with ``r1 != r2``; range/exact output is symmetric
 (both orientations of each pair), kNN output is directed (``r2`` is among
 ``r1``'s k nearest).
+
+Given ``value_col``, each join also carries that column through both of
+its sides and returns ``(r1, r2, v1, v2, dist_m)``: the join already reads
+both records, so their values cost no extra join.
 """
 import math
 from dataclasses import dataclass
@@ -18,7 +22,24 @@ from repro.spatial.geo import M_PER_DEG_LAT, distance_expr, meters_per_degree_lo
 
 R1 = "r1"
 R2 = "r2"
+V1 = "v1"
+V2 = "v2"
 DIST = "dist_m"
+
+
+def _side(
+    df: DataFrame, rid: str, lat: str, lon: str, value: str, *,
+    id_col: str, lat_col: str, lon_col: str, value_col: str | None,
+) -> DataFrame:
+    """One join side: id, lat and lon renamed, plus ``value_col`` as ``value``."""
+    cols = [F.col(id_col).alias(rid), F.col(lat_col).alias(lat), F.col(lon_col).alias(lon)]
+    if value_col is not None:
+        cols.append(F.col(value_col).alias(value))
+    return df.select(*cols)
+
+
+def _pair_columns(value_col: str | None) -> list[str]:
+    return [R1, R2, DIST] if value_col is None else [R1, R2, V1, V2, DIST]
 
 
 @dataclass(frozen=True)
@@ -80,14 +101,12 @@ def _pair_join(
     lat_col: str,
     lon_col: str,
     distance: str,
+    value_col: str | None = None,
 ) -> DataFrame:
     """All (left, right) pairs with distinct ids within ``d_m`` meters."""
+    cols = dict(id_col=id_col, lat_col=lat_col, lon_col=lon_col, value_col=value_col)
     build = grid.with_tiles(
-        right.select(
-            F.col(id_col).alias(R2),
-            F.col(lat_col).alias("_lat2"),
-            F.col(lon_col).alias("_lon2"),
-        ),
+        _side(right, R2, "_lat2", "_lon2", V2, **cols),
         d_m=d_m,
         max_abs_lat_deg=extent.max_abs_lat,
         lat_col="_lat2",
@@ -95,11 +114,7 @@ def _pair_join(
     )
     probe = grid.explode_neighborhood(
         grid.with_tiles(
-            left.select(
-                F.col(id_col).alias(R1),
-                F.col(lat_col).alias("_lat1"),
-                F.col(lon_col).alias("_lon1"),
-            ),
+            _side(left, R1, "_lat1", "_lon1", V1, **cols),
             d_m=d_m,
             max_abs_lat_deg=extent.max_abs_lat,
             lat_col="_lat1",
@@ -119,7 +134,7 @@ def _pair_join(
         .where(F.col(R1) != F.col(R2))
         .withColumn(DIST, dist)
         .where(F.col(DIST) < F.lit(float(d_m)))
-        .select(R1, R2, DIST)
+        .select(*_pair_columns(value_col))
     )
 
 
@@ -132,20 +147,19 @@ def self_range_join(
     lon_col: str = "lon",
     distance: str = "equirect",
     extent: Extent | None = None,
+    value_col: str | None = None,
 ) -> DataFrame:
     """Symmetric pairs ``(r1, r2, dist_m)`` with ``dist_m < d_m``, r1 != r2.
 
     Matches the paper's ``SpatialRange`` predicate: strict ``F(r1,r2) < d``.
+    An empty input yields no pairs for any ``d_m``; its tiles are sized at
+    1 m at least, since a tile needs a positive side.
     """
     extent = extent or compute_extent(df, lat_col, lon_col)
-    if extent.n == 0:
-        return _pair_join(
-            df, df, d_m=max(d_m, 1.0), extent=extent, id_col=id_col,
-            lat_col=lat_col, lon_col=lon_col, distance=distance,
-        )
     return _pair_join(
-        df, df, d_m=d_m, extent=extent, id_col=id_col,
-        lat_col=lat_col, lon_col=lon_col, distance=distance,
+        df, df, d_m=d_m if extent.n else max(d_m, 1.0), extent=extent,
+        id_col=id_col, lat_col=lat_col, lon_col=lon_col, distance=distance,
+        value_col=value_col,
     )
 
 
@@ -155,22 +169,20 @@ def self_exact_join(
     id_col: str = "rid",
     lat_col: str = "lat",
     lon_col: str = "lon",
+    value_col: str | None = None,
 ) -> DataFrame:
     """Pairs at the *same exact* coordinates — the non-spatial baseline.
 
     This is the equality self-join current cleaning systems run (§3.2):
     co-occurrence exists only where coordinates are duplicated.
     """
-    right = df.select(
-        F.col(id_col).alias(R2), F.col(lat_col).alias("_lat"), F.col(lon_col).alias("_lon")
-    )
-    left = df.select(
-        F.col(id_col).alias(R1), F.col(lat_col).alias("_lat"), F.col(lon_col).alias("_lon")
-    )
+    cols = dict(id_col=id_col, lat_col=lat_col, lon_col=lon_col, value_col=value_col)
     return (
-        left.join(right, on=["_lat", "_lon"])
+        _side(df, R1, "_lat", "_lon", V1, **cols)
+        .join(_side(df, R2, "_lat", "_lon", V2, **cols), on=["_lat", "_lon"])
         .where(F.col(R1) != F.col(R2))
-        .select(R1, R2, F.lit(0.0).alias(DIST))
+        .withColumn(DIST, F.lit(0.0))
+        .select(*_pair_columns(value_col))
     )
 
 
@@ -184,6 +196,7 @@ def self_knn_join(
     distance: str = "equirect",
     extent: Extent | None = None,
     max_rounds: int = 8,
+    value_col: str | None = None,
 ) -> DataFrame:
     """Directed k-nearest-neighbor pairs ``(r1, r2, dist_m)``.
 
@@ -198,21 +211,26 @@ def self_knn_join(
     extent = extent or compute_extent(df, lat_col, lon_col)
     spark = df.sparkSession
     if extent.n <= 1:
-        return spark.createDataFrame([], schema=f"{R1} long, {R2} long, {DIST} double")
+        schema = [f"{R1} long", f"{R2} long", f"{DIST} double"]
+        if value_col is not None:
+            vtype = df.schema[value_col].dataType.simpleString()
+            schema[2:2] = [f"{V1} {vtype}", f"{V2} {vtype}"]
+        return spark.createDataFrame([], schema=", ".join(schema))
 
     # Radius such that a disk holds ~3(k+1) points under uniform density.
     density = extent.n / extent.area_m2
     radius = max(
         math.sqrt(3.0 * (k + 1) / (math.pi * density)), extent.diagonal_m / 1024, 1.0
     )
-    points = df.select(id_col, lat_col, lon_col)
+    points = df.select(id_col, lat_col, lon_col, *([value_col] if value_col else []))
+    opts = dict(
+        extent=extent, id_col=id_col, lat_col=lat_col, lon_col=lon_col,
+        distance=distance, value_col=value_col,
+    )
     unresolved = points
     resolved_parts: list[DataFrame] = []
     for _ in range(max_rounds):
-        pairs = _pair_join(
-            unresolved, points, d_m=radius, extent=extent, id_col=id_col,
-            lat_col=lat_col, lon_col=lon_col, distance=distance,
-        )
+        pairs = _pair_join(unresolved, points, d_m=radius, **opts)
         exhaustive = radius >= extent.diagonal_m  # radius covers the extent
         counts = pairs.groupBy(R1).agg(F.count(F.lit(1)).alias("_cnt"))
         done_ids = (
@@ -231,10 +249,7 @@ def self_knn_join(
         radius = min(radius * 2.0, extent.diagonal_m)
     if unresolved is not None:  # max_rounds hit: finish with the full extent
         resolved_parts.append(
-            _pair_join(
-                unresolved, points, d_m=extent.diagonal_m * 1.01, extent=extent,
-                id_col=id_col, lat_col=lat_col, lon_col=lon_col, distance=distance,
-            )
+            _pair_join(unresolved, points, d_m=extent.diagonal_m * 1.01, **opts)
         )
     all_pairs = resolved_parts[0]
     for p in resolved_parts[1:]:
@@ -243,5 +258,5 @@ def self_knn_join(
     return (
         all_pairs.withColumn("_rank", F.row_number().over(w))
         .where(F.col("_rank") <= k)
-        .select(R1, R2, DIST)
+        .select(*_pair_columns(value_col))
     )

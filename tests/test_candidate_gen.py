@@ -177,6 +177,33 @@ class TestNullAndDefaults:
         )
         assert vals == {"A"}  # own value only, at the default weight
 
+    def test_own_value_of_cell_seen_only_as_r2(self, spark):
+        """A directed (kNN-shaped) matrix: cell 1 is a neighbor of cells 2
+        and 3 but has no row of its own. It still gets its own value at the
+        default weight — its only candidate, so it is labeled with it."""
+        df = spark.createDataFrame(
+            pd.DataFrame({"rid": [1, 2, 3], "borough": ["A", "B", "B"]})
+        )
+        dm = spark.createDataFrame(
+            pd.DataFrame(
+                [(2, 1, "B", "A", 10.0, 0.5), (3, 1, "B", "A", 30.0, 0.2)],
+                columns=["r1", "r2", "v1", "v2", "dist_m", "w"],
+            )
+        )
+        err = detect_errors(df, dm, attribute="borough").error_ids
+        res = generate_candidates(
+            df, dm, err, attribute="borough", min_prob=0.0, max_prob=1.1
+        )
+        assert {r.rid: r.label for r in res.labels.collect()} == {1: "A"}
+        cands = res.candidates.toPandas().set_index(["rid", "value"])
+        assert cands["weight"].to_dict() == pytest.approx(
+            {(2, "A"): 0.5, (2, "B"): 0.01, (3, "A"): 0.2, (3, "B"): 0.01}
+        )
+        assert cands["spatial_weight"].to_dict() == pytest.approx(
+            {(2, "A"): 0.5, (2, "B"): 0.0, (3, "A"): 0.2, (3, "B"): 0.0}
+        )
+        assert sorted(r.rid for r in res.remaining_error_ids.collect()) == [2, 3]
+
     def test_error_cell_with_no_candidates_stays_unresolved(self, spark):
         # Null value and no neighbors: nothing to propose.
         df = spark.createDataFrame(

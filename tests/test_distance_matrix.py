@@ -9,7 +9,12 @@ from repro.core.constraints import (
     SpatialRangeConstraint,
     WeightFunction,
 )
-from repro.core.distance_matrix import DM_COLUMNS, build_distance_matrix, build_pairs
+from repro.core.distance_matrix import (
+    DM_COLUMNS,
+    attach_values,
+    build_distance_matrix,
+    build_pairs,
+)
 from repro.spatial.geo import M_PER_DEG_LAT
 
 
@@ -118,10 +123,41 @@ class TestKnnMatrix:
         w = dm.set_index(["r1", "r2"])["w"]
         assert w[(4, 3)] == pytest.approx((1 - 400 / 700) ** 2, rel=1e-4)
 
+    def test_values_carried(self, dm):
+        values = dict(enumerate("AABBC"))
+        assert list(dm["v1"]) == [values[r] for r in dm["r1"]]
+        assert list(dm["v2"]) == [values[r] for r in dm["r2"]]
+
     def test_directed(self, dm):
         pairs = set(zip(dm["r1"], dm["r2"]))
         # r2's 2NN are r1 (200m) and r0 (300m, tie with r3 broken by id).
         assert (4, 2) in pairs and (2, 4) not in pairs
+
+
+class TestValuesCarriedThroughJoin:
+    """The join carries v1/v2 itself; joining them on afterwards is the
+    reference and must give the same rows."""
+
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            SpatialRangeConstraint("ward", 1000.0, WeightFunction(n=2.0)),
+            SpatialRangeConstraint("ward", 0.0),
+            ExactLocationConstraint("ward"),
+        ],
+        ids=["range", "range-d0", "exact"],
+    )
+    def test_same_rows_as_pairs_then_attach(self, spark, constraint):
+        df = line_df(
+            spark,
+            [(0.0, "A"), (0.0, "B"), (200.0, None), (500.0, "B"), (900.0, "C"), (900.0, "C")],
+        )
+        key = lambda d: sorted(
+            d.toPandas()[list(DM_COLUMNS)].fillna("∅").itertuples(index=False, name=None)
+        )
+        carried = build_distance_matrix(df, constraint)
+        assert tuple(carried.columns) == DM_COLUMNS
+        assert key(carried) == key(attach_values(build_pairs(df, constraint), df, "ward"))
 
 
 class TestUnsupportedConstraint:

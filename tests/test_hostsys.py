@@ -9,7 +9,7 @@ from repro.core.error_detector import detect_errors
 from repro.evalx.toy import MAN, TOY_TOTAL, toy_df, toy_dm, toy_freq
 from repro.hostsys.aimnet import repair_from_violations
 from repro.hostsys.baran import baran_clean
-from repro.hostsys.holoclean import repair_from_factors, repair_from_probabilities
+from repro.hostsys.holoclean import repair_from_factors
 
 
 def _mk(spark, rows, cols, schema=None):
@@ -50,7 +50,7 @@ class TestArgBest:
         cands = _mk(
             spark, [(1, "A", 1.0, 1.0, 1e-6, 0.5), (1, "B", 1.0, 1.0, 1e-6, 0.5)], CAND_COLS
         )
-        out = repair_from_probabilities(feats, cands).collect()
+        out = repair_from_factors(feats, cands).collect()
         assert [(r.rid, r.repair) for r in out] == [(1, "A")]
 
     def test_one_repair_per_cell(self, spark):

@@ -1,4 +1,6 @@
 """End-to-end Sparcle pipeline vs the exact-location host baseline."""
+import uuid
+
 import pandas as pd
 import pytest
 
@@ -8,12 +10,16 @@ from repro.core.constraints import (
     SpatialRangeConstraint,
     WeightFunction,
 )
+from repro.core.candidate_gen import generate_candidates
+from repro.core.distance_matrix import build_distance_matrix
+from repro.core.error_detector import detect_errors
 from repro.core.pipeline import host_baseline_clean, sparcle_clean
 from repro.evalx.metrics import duplication_split, evaluate_repairs
 from repro.synth_spatial import BBOX_CHICAGO, RegionAttr, spatial_dataset_pdf
 
 ATTR = RegionAttr("ward", 8, error_rate=0.12, dup_ratio=0.4, missing_frac=0.5)
 D_M = 1800.0  # ~40 expected neighbors at n=1000 over the Chicago bbox
+RANGE = SpatialRangeConstraint("ward", D_M, WeightFunction(n=2.0))
 
 
 @pytest.fixture(scope="module")
@@ -26,10 +32,7 @@ def data(spark):
 @pytest.fixture(scope="module")
 def sparcle_out(data):
     _, sdf = data
-    return sparcle_clean(
-        sdf, SpatialRangeConstraint("ward", D_M, WeightFunction(n=2.0)),
-        corrector="aimnet",
-    )
+    return sparcle_clean(sdf, RANGE, corrector="aimnet")
 
 
 @pytest.fixture(scope="module")
@@ -72,13 +75,47 @@ class TestSparcleEndToEnd:
             (got == untouched["ward"]) | (got.isna() & untouched["ward"].isna())
         ).all()
 
-    def test_diagnostics_keys(self, sparcle_out):
+    def test_diagnostics_keys(self, data, sparcle_out):
+        _, sdf = data
         d = sparcle_out.diagnostics
         assert {
             "n_records", "n_pairs", "n_detected_errors", "n_labeled",
             "n_repaired", "elapsed_s",
         } <= set(d)
-        assert d["n_records"] == 1000 and d["n_pairs"] > 0
+        assert d["n_records"] == sdf.count() == 1000 and d["n_pairs"] > 0
+        # The diagnostics come from the run's output table; each must equal
+        # the count of the frame its layer returns when called on its own.
+        dm = build_distance_matrix(sdf, RANGE)
+        err = detect_errors(sdf, dm, attribute="ward").error_ids
+        labels = generate_candidates(sdf, dm, err, attribute="ward").labels
+        assert d["n_pairs"] == dm.count()
+        assert d["n_detected_errors"] == err.count()
+        assert d["n_labeled"] == labels.count()
+        assert d["n_repaired"] == sparcle_out.repairs.count()
+
+
+def _jobs_to_read(spark, frame) -> int:
+    """Spark jobs launched to collect ``frame``, counted under a job group."""
+    sc = spark.sparkContext
+    group = f"read-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, group)
+    try:
+        frame.toPandas()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty(60_000)
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+class TestAfterReturn:
+    """The returned frames read the run's checkpointed output table; reading
+    them must not recompute the pipeline, whose caches are released."""
+
+    def test_repaired_df_is_a_cheap_read(self, spark, sparcle_out):
+        assert _jobs_to_read(spark, sparcle_out.repaired_df) <= 2
+
+    def test_repairs_is_a_cheap_read(self, spark, sparcle_out):
+        assert _jobs_to_read(spark, sparcle_out.repairs) <= 2
 
 
 class TestBaselineBehaviour:
@@ -114,10 +151,7 @@ class TestVariants:
     @pytest.mark.parametrize("corrector", ["holoclean", "baran"])
     def test_other_correctors_also_clean(self, data, corrector):
         pdf, sdf = data
-        out = sparcle_clean(
-            sdf, SpatialRangeConstraint("ward", D_M, WeightFunction(n=2.0)),
-            corrector=corrector,
-        )
+        out = sparcle_clean(sdf, RANGE, corrector=corrector)
         m = _metrics(pdf, out)
         assert m.recall > 0.7
 
