@@ -1,11 +1,11 @@
 """Shared session builder for spark-submit entrypoints.
 
-Mirrors the test fixture's configuration (conftest.py); jobs are thin CLI
-wrappers over ``repro.evalx.harness`` so tables can be regenerated with
-``spark-submit jobs/table4.py [sf]`` or plain ``python jobs/table4.py``.
+Mirrors the test fixture's configuration (conftest.py). ``jobs/tables.py``
+runs the ``repro.evalx.harness`` builders in this session, so tables can be
+regenerated with ``spark-submit jobs/tables.py table4 [sf]`` or plain
+``python jobs/tables.py table4``; ``perfbench/run.py`` uses it too.
 """
 import os
-import sys
 
 from pyspark.sql import SparkSession
 
@@ -30,7 +30,3 @@ def session(app: str) -> SparkSession:
     )
     s.sparkContext.setLogLevel("ERROR")
     return s
-
-
-def sf_arg(default: float = 1.0) -> float:
-    return float(sys.argv[1]) if len(sys.argv) > 1 else default

@@ -46,13 +46,11 @@ class CandidateResult:
 
     ``candidates`` holds the surviving candidate values for cells that are
     *still* erroneous; ``labels`` holds cells confidently resolved in
-    phase 3 (their label is a final repair); ``remaining_error_ids`` is
-    the erroneous set minus the labeled cells.
+    phase 3 (their label is a final repair).
     """
 
     candidates: DataFrame  # id_col, value, weight, spatial_weight, prob, prob_norm
     labels: DataFrame  # id_col, label
-    remaining_error_ids: DataFrame  # id_col
 
 
 def value_frequency(df: DataFrame, attribute: str) -> DataFrame:
@@ -171,7 +169,4 @@ def generate_candidates(
     remaining = kept.where(~F.col("_labeled")).select(
         id_col, VALUE, WEIGHT, SPATIAL_WEIGHT, PROB, PROB_NORM
     )
-    remaining_ids = error_ids.join(labels.select(id_col), on=id_col, how="leftanti")
-    return CandidateResult(
-        candidates=remaining, labels=labels, remaining_error_ids=remaining_ids
-    )
+    return CandidateResult(candidates=remaining, labels=labels)

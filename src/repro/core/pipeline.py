@@ -18,7 +18,6 @@ degenerate case of §6.1).
 """
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from pyspark.sql import DataFrame, Observation
 from pyspark.sql import functions as F
@@ -30,9 +29,12 @@ from repro.core.distance_matrix import build_distance_matrix
 from repro.core.error_detector import detect_errors
 from repro.hostsys.aimnet import REPAIR, repair_from_violations
 from repro.hostsys.holoclean import repair_from_factors
-from repro.spatial.join import Extent, compute_extent
+from repro.spatial.join import compute_extent
 
 CORRECTORS = ("holoclean", "aimnet", "baran")
+
+#: The input's record id and coordinate columns.
+ID, LAT, LON = "rid", "lat", "lon"
 
 #: Columns the checkpointed output table adds to the input's (dropped from
 #: ``repaired_df``): the observed value and three per-row flags.
@@ -45,7 +47,7 @@ class CleanResult:
     """Output of one cleaning run over one constraint."""
 
     repaired_df: DataFrame  # input df with the target attribute repaired
-    repairs: DataFrame  # id_col, old_value, new_value (changed cells only)
+    repairs: DataFrame  # rid, old_value, new_value (changed cells only)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -55,7 +57,6 @@ def _output_table(
     labels: DataFrame,
     corrected: DataFrame,
     attribute: str,
-    id_col: str,
 ) -> DataFrame:
     """Every input row with its final value, its observed value and flags.
 
@@ -63,16 +64,16 @@ def _output_table(
     when its fix ``IS DISTINCT FROM`` the observed value (DESIGN.md §6).
     """
     fixes = labels.select(
-        F.col(id_col), F.col("label").alias("_fix"), F.lit(True).alias(_LABELED)
+        F.col(ID), F.col("label").alias("_fix"), F.lit(True).alias(_LABELED)
     ).unionByName(
         corrected.select(
-            F.col(id_col), F.col(REPAIR).alias("_fix"), F.lit(False).alias(_LABELED)
+            F.col(ID), F.col(REPAIR).alias("_fix"), F.lit(False).alias(_LABELED)
         )
     )
-    errs = error_ids.select(id_col, F.lit(True).alias(_ERR))
+    errs = error_ids.select(ID, F.lit(True).alias(_ERR))
     return (
-        df.join(fixes, on=id_col, how="left")
-        .join(errs, on=id_col, how="left")
+        df.join(fixes, on=ID, how="left")
+        .join(errs, on=ID, how="left")
         .select(
             *(
                 F.coalesce(F.col("_fix"), F.col(c)).alias(c) if c == attribute else F.col(c)
@@ -89,61 +90,42 @@ def _output_table(
 
 
 def sparcle_clean(
-    df: DataFrame,
-    constraint: Constraint,
-    *,
-    corrector: str = "holoclean",
-    id_col: str = "rid",
-    lat_col: str = "lat",
-    lon_col: str = "lon",
-    other_attrs: Sequence[str] = (),
-    min_prob: float = 0.05,
-    max_prob: float = 0.95,
-    extent: Extent | None = None,
+    df: DataFrame, constraint: Constraint, *, corrector: str = "holoclean"
 ) -> CleanResult:
-    """Clean ``constraint.attribute`` of ``df``; see module docstring."""
+    """Clean ``constraint.attribute`` of ``df`` (columns ``rid``, ``lat``,
+    ``lon`` and the attribute); see module docstring."""
     if corrector not in CORRECTORS:
         raise ValueError(f"corrector must be one of {CORRECTORS}, got {corrector!r}")
     t0 = time.perf_counter()
     attribute = constraint.attribute
-    extent = extent or compute_extent(df, lat_col, lon_col)
+    extent = compute_extent(df, LAT, LON)
 
-    dm = build_distance_matrix(
-        df, constraint, id_col=id_col, lat_col=lat_col, lon_col=lon_col, extent=extent
-    ).cache()
+    dm = build_distance_matrix(df, constraint, extent=extent).cache()
     n_pairs = dm.count()  # materialise: every later stage scans this table
 
-    detected = detect_errors(df, dm, attribute=attribute, id_col=id_col)
+    detected = detect_errors(df, dm, attribute=attribute)
     cand = cg.generate_candidates(
-        df,
-        dm,
-        detected.error_ids,
-        attribute=attribute,
-        id_col=id_col,
-        other_attrs=other_attrs,
-        min_prob=min_prob,
-        max_prob=max_prob,
-        total=extent.n,
+        df, dm, detected.error_ids, attribute=attribute, total=extent.n
     )
     cands = cand.candidates.cache()
 
     if corrector == "aimnet":
-        feats = formulator.violation_features(dm, cands, id_col=id_col)
-        corrected = repair_from_violations(feats, cands, id_col=id_col)
+        feats = formulator.violation_features(dm, cands)
+        corrected = repair_from_violations(feats, cands)
     elif corrector == "baran":
         # Baran's probabilities and HoloClean's factor sums share the arg-max.
-        feats = formulator.probability_features(cands, id_col=id_col)
-        corrected = repair_from_factors(feats, cands, id_col=id_col)
+        feats = formulator.probability_features(cands)
+        corrected = repair_from_factors(feats, cands)
     else:
-        feats = formulator.factor_features(dm, cands, id_col=id_col)
-        corrected = repair_from_factors(feats, cands, id_col=id_col)
+        feats = formulator.factor_features(dm, cands)
+        corrected = repair_from_factors(feats, cands)
 
     # The one materialisation after the DistanceMatrix: every output is a
     # scan of this table, and the diagnostics are observed while it is
     # built, so no extra job runs. Only then can dm and cands go.
     counts = Observation("sparcle_clean")
     out = (
-        _output_table(df, detected.error_ids, cand.labels, corrected, attribute, id_col)
+        _output_table(df, detected.error_ids, cand.labels, corrected, attribute)
         .observe(counts, *(F.count(F.when(F.col(c), 1)).alias(c) for c in _FLAGS))
         .localCheckpoint()
     )
@@ -153,7 +135,7 @@ def sparcle_clean(
 
     repaired_df = out.select(*df.columns)
     repairs = out.where(F.col(_CHANGED)).select(
-        F.col(id_col), F.col(_OLD).alias("old_value"), F.col(attribute).alias("new_value")
+        F.col(ID), F.col(_OLD).alias("old_value"), F.col(attribute).alias("new_value")
     )
     diagnostics = {
         "n_records": extent.n,
@@ -167,26 +149,7 @@ def sparcle_clean(
 
 
 def host_baseline_clean(
-    df: DataFrame,
-    attribute: str,
-    *,
-    corrector: str = "holoclean",
-    id_col: str = "rid",
-    lat_col: str = "lat",
-    lon_col: str = "lon",
-    other_attrs: Sequence[str] = (),
-    min_prob: float = 0.05,
-    max_prob: float = 0.95,
+    df: DataFrame, attribute: str, *, corrector: str = "holoclean"
 ) -> CleanResult:
     """The host system without Sparcle: exact-location co-occurrence only."""
-    return sparcle_clean(
-        df,
-        ExactLocationConstraint(attribute),
-        corrector=corrector,
-        id_col=id_col,
-        lat_col=lat_col,
-        lon_col=lon_col,
-        other_attrs=other_attrs,
-        min_prob=min_prob,
-        max_prob=max_prob,
-    )
+    return sparcle_clean(df, ExactLocationConstraint(attribute), corrector=corrector)

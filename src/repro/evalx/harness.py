@@ -1,9 +1,10 @@
 """Experiment harness: dataset analogs and the paper's tables (§6).
 
 Every table in the evaluation section has a builder here returning a
-pandas DataFrame (and writing ``results/table*.csv``); ``jobs/`` and
-``benchmarks/`` are thin wrappers around these builders. Paper-vs-measured
-numbers are transcribed in ``EXPERIMENTS.md``.
+pandas DataFrame (and writing ``results/table*.csv``). ``jobs/tables.py``
+runs one builder by name and ``benchmarks/bench_tables.py`` times each
+one; Table 6 is a projection of Table 4's runs, so ``table4`` writes both.
+Paper-vs-measured numbers are transcribed in ``EXPERIMENTS.md``.
 
 Scaling: record counts are controlled by ``sf`` (1.0 = benchmark scale,
 far below the paper's testbed — see DESIGN.md substitutions). The spatial
@@ -290,10 +291,15 @@ def table3(*, sf: float = 1.0) -> pd.DataFrame:
 
 
 def table4(spark: SparkSession, *, sf: float = 1.0) -> pd.DataFrame:
-    """Table 4: accuracy on the three real-data analogs, all systems."""
+    """Table 4: accuracy on the three real-data analogs, all systems.
+
+    One ``run_dataset`` pass per dataset; Table 6 is projected from the
+    same runs and written alongside.
+    """
     parts = [run_dataset(spark, spec, sf=sf) for spec in REAL_SPECS]
     out = pd.concat(parts, ignore_index=True)
     out.to_csv(results_dir() / "table4.csv", index=False)
+    table6(out)
     return out
 
 
@@ -305,12 +311,14 @@ def table5(spark: SparkSession, *, sf: float = 1.0) -> pd.DataFrame:
     return out
 
 
-def table6(spark: SparkSession, *, sf: float = 1.0) -> pd.DataFrame:
-    """Table 6: wall-clock per dataset and system (fresh timed runs)."""
-    parts = [run_dataset(spark, spec, sf=sf) for spec in REAL_SPECS]
-    all_rows = pd.concat(parts, ignore_index=True)
+def table6(rows: pd.DataFrame) -> pd.DataFrame:
+    """Table 6: wall-clock per dataset and system, from Table 4's runs.
+
+    The ``Overall`` rows of a ``run_dataset`` frame already sum each
+    system's per-dependency cleaning time.
+    """
     out = (
-        all_rows[all_rows["attribute"] == "Overall"]
+        rows[rows["attribute"] == "Overall"]
         .loc[:, ["dataset", "system", "elapsed_s", "n_records"]]
         .reset_index(drop=True)
     )

@@ -26,6 +26,9 @@ V1 = "v1"
 V2 = "v2"
 DIST = "dist_m"
 
+#: Radius doublings a kNN join tries before one final full-extent round.
+KNN_MAX_ROUNDS = 8
+
 
 def _side(
     df: DataFrame, rid: str, lat: str, lon: str, value: str, *,
@@ -195,7 +198,6 @@ def self_knn_join(
     lon_col: str = "lon",
     distance: str = "equirect",
     extent: Extent | None = None,
-    max_rounds: int = 8,
     value_col: str | None = None,
 ) -> DataFrame:
     """Directed k-nearest-neighbor pairs ``(r1, r2, dist_m)``.
@@ -229,7 +231,7 @@ def self_knn_join(
     )
     unresolved = points
     resolved_parts: list[DataFrame] = []
-    for _ in range(max_rounds):
+    for _ in range(KNN_MAX_ROUNDS):
         pairs = _pair_join(unresolved, points, d_m=radius, **opts)
         exhaustive = radius >= extent.diagonal_m  # radius covers the extent
         counts = pairs.groupBy(R1).agg(F.count(F.lit(1)).alias("_cnt"))
@@ -247,7 +249,7 @@ def self_knn_join(
             unresolved = None
             break
         radius = min(radius * 2.0, extent.diagonal_m)
-    if unresolved is not None:  # max_rounds hit: finish with the full extent
+    if unresolved is not None:  # rounds used up: finish with the full extent
         resolved_parts.append(
             _pair_join(unresolved, points, d_m=extent.diagonal_m * 1.01, **opts)
         )

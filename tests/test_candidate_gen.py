@@ -117,9 +117,6 @@ class TestPhase3Cutoffs:
         labels = {r.rid: r.label for r in default_state.labels.collect()}
         assert labels == {5: QUE}
 
-    def test_remaining_error_ids(self, default_state):
-        assert sorted(r.rid for r in default_state.remaining_error_ids.collect()) == [1, 2, 3, 4, 6]
-
     def test_surviving_candidate_counts(self, default_state):
         counts = (
             default_state.candidates.toPandas().groupby("rid").size().to_dict()
@@ -202,7 +199,6 @@ class TestNullAndDefaults:
         assert cands["spatial_weight"].to_dict() == pytest.approx(
             {(2, "A"): 0.5, (2, "B"): 0.0, (3, "A"): 0.2, (3, "B"): 0.0}
         )
-        assert sorted(r.rid for r in res.remaining_error_ids.collect()) == [2, 3]
 
     def test_error_cell_with_no_candidates_stays_unresolved(self, spark):
         # Null value and no neighbors: nothing to propose.
@@ -216,7 +212,6 @@ class TestNullAndDefaults:
         res = generate_candidates(df, dm, err, attribute="borough")
         assert res.candidates.count() == 0
         assert res.labels.count() == 0
-        assert [r.rid for r in res.remaining_error_ids.collect()] == [1]
 
 
 class TestValueFrequency:

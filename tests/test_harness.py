@@ -1,5 +1,7 @@
 """Experiment harness: specs, adaptive d, table builders at tiny scale."""
+import importlib.util
 import math
+from pathlib import Path
 
 import pandas as pd
 import pytest
@@ -123,6 +125,10 @@ class TestTableBuilders:
         assert ((out["f1"] >= 0) & (out["f1"] <= 1)).all()
         overall = out[out["attribute"] == "Overall"]
         assert len(overall) == 2 and (overall["elapsed_s"] > 0).all()
+        t6 = H.table6(out)
+        cols = ["dataset", "system", "elapsed_s", "n_records"]
+        pd.testing.assert_frame_equal(t6, overall[cols].reset_index(drop=True))
+        assert (H.results_dir() / "table6.csv").exists()
 
     def test_param_sweep_tiny(self, spark):
         out = H.param_sweep(
@@ -131,6 +137,21 @@ class TestTableBuilders:
         assert len(out) == 2
         assert ((out["f1"] >= 0) & (out["f1"] <= 1)).all()
         assert (H.results_dir() / "param_sweep.csv").exists()
+
+
+class TestTablesScript:
+    def test_dispatch_without_spark(self, monkeypatch, capsys):
+        jobs = Path(__file__).resolve().parents[1] / "jobs"
+        monkeypatch.syspath_prepend(str(jobs))
+        spec = importlib.util.spec_from_file_location("tables", jobs / "tables.py")
+        tables = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tables)
+
+        tables.main(["table3", "0.05"])
+        assert "chicago_synthetic" in capsys.readouterr().out
+        assert len(pd.read_csv(H.results_dir() / "table3.csv")) == 12
+        with pytest.raises(SystemExit, match="table1, table2, table3, table4, table5, param_sweep"):
+            tables.main(["table6"])
 
 
 class TestResultsDir:
